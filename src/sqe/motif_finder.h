@@ -1,16 +1,24 @@
 // MotifFinder: enumerates triangular and square motif instances around
 // query nodes and assembles query graphs.
 //
-// Complexity per query node q: O(Σ_{a ∈ N↔(q)} [|cats(q)| · (|cats(a)| +
-// d_c(cats(q)))]) where N↔(q) is the precomputed reciprocal-link list —
-// doubly-linked candidates are enumerated directly from the KB's
-// reciprocal CSR (no per-out-link binary search), and category relatedness
-// is a sorted three-way merge rather than per-pair binary searches. The
-// finder is stateless and const, so batch-pipeline workers share one
-// instance concurrently.
+// FindTriangular/FindSquare list every instance anchored at one query node;
+// they are the reference definition. BuildQueryGraph counts the same
+// instances without listing them. Per query node q it stamps cats(q) and
+// fills a per-category table: how many of cats(q) each category is related
+// to by a C->C edge. One pass over each reciprocal neighbour a's categories
+// then yields a's square count (the table's sum) and its triangle test
+// (all of cats(q) stamped). Cost per query node q:
+//   O(Σ_{c ∈ cats(q)} d_c(c) + Σ_{a ∈ N↔(q)} |cats(a)|)
+// where d_c(c) is c's parent plus child count and N↔(q) the KB's
+// reciprocal-link list; then one sort of the expansion and category nodes.
+// The counters are epoch-stamped arrays in thread-local storage, grown to
+// the largest KB the thread has seen and never cleared per query, so the
+// finder itself stays const and batch-pipeline workers share one instance
+// concurrently.
 #ifndef SQE_SQE_MOTIF_FINDER_H_
 #define SQE_SQE_MOTIF_FINDER_H_
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -45,6 +53,10 @@ class MotifFinder {
  private:
   const kb::KnowledgeBase* kb_;
 };
+
+/// Test hook: moves the calling thread's motif-counter epoch to `epoch`, so
+/// a test can run BuildQueryGraph across the 32-bit stamps' wrap-around.
+void SetMotifEpochForTest(uint32_t epoch);
 
 }  // namespace sqe::expansion
 

@@ -7,6 +7,11 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
+#include <string>
+#include <thread>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -268,11 +273,13 @@ TEST(MotifValidatorTest, EveryMatchSatisfiesTheDefinition) {
 
 TEST(MotifValidatorTest, FinderIsExhaustiveAgainstBruteForce) {
   // Brute-force enumeration over all reciprocal pairs must agree with the
-  // finder on which (q, a) pairs carry a triangular motif.
+  // finder on which (q, a) pairs carry a triangular motif, and on exactly
+  // which (q, a, c_q, c_a) instances are squares.
   synth::World world = synth::World::Generate(synth::TinyWorldOptions());
   const kb::KnowledgeBase& kb = world.kb;
   expansion::MotifFinder finder(&kb);
 
+  size_t squares = 0;
   for (uint32_t ci = 0; ci < std::min<size_t>(world.NumConcepts(), 60);
        ++ci) {
     kb::ArticleId q = world.concepts[ci].article;
@@ -280,7 +287,17 @@ TEST(MotifValidatorTest, FinderIsExhaustiveAgainstBruteForce) {
     for (const auto& m : finder.FindTriangular(q)) {
       found.insert(m.expansion_node);
     }
+    using Square = std::tuple<kb::ArticleId, kb::CategoryId, kb::CategoryId>;
+    std::vector<Square> found_squares;
+    for (const auto& m : finder.FindSquare(q)) {
+      ASSERT_EQ(m.query_node, q);
+      found_squares.emplace_back(m.expansion_node, m.query_category,
+                                 m.expansion_category);
+    }
+    std::sort(found_squares.begin(), found_squares.end());
+
     std::set<kb::ArticleId> oracle;
+    std::vector<Square> oracle_squares;
     auto q_cats = kb.CategoriesOf(q);
     if (!q_cats.empty()) {
       for (size_t a = 0; a < kb.NumArticles(); ++a) {
@@ -294,10 +311,359 @@ TEST(MotifValidatorTest, FinderIsExhaustiveAgainstBruteForce) {
           }
         }
         if (superset) oracle.insert(candidate);
+        for (kb::CategoryId cq : q_cats) {
+          for (size_t c = 0; c < kb.NumCategories(); ++c) {
+            kb::CategoryId ca = static_cast<kb::CategoryId>(c);
+            if (ca != cq && kb.HasMembership(candidate, ca) &&
+                kb.CategoriesRelated(cq, ca)) {
+              oracle_squares.emplace_back(candidate, cq, ca);
+            }
+          }
+        }
       }
     }
+    std::sort(oracle_squares.begin(), oracle_squares.end());
     EXPECT_EQ(found, oracle) << "query concept " << ci;
+    // Sorted vectors, not sets: the finder must list each square once.
+    EXPECT_EQ(found_squares, oracle_squares) << "query concept " << ci;
+    squares += oracle_squares.size();
   }
+  EXPECT_GT(squares, 50u);
+}
+
+// ---- sqe: counting kernel against the listing oracle ------------------------
+
+// The reference for BuildQueryGraph: every instance FindTriangular and
+// FindSquare list, folded into ⟨a, |m_a|⟩ one instance at a time.
+expansion::QueryGraph ListingQueryGraph(
+    const expansion::MotifFinder& finder,
+    std::span<const kb::ArticleId> query_nodes,
+    const expansion::MotifConfig& config) {
+  const kb::KnowledgeBase& kb = finder.kb();
+  expansion::QueryGraph graph;
+  graph.query_nodes.assign(query_nodes.begin(), query_nodes.end());
+  std::set<kb::ArticleId> query_set(query_nodes.begin(), query_nodes.end());
+  std::map<kb::ArticleId, expansion::ExpansionNode> by_article;
+  std::set<kb::CategoryId> categories;
+  for (kb::ArticleId q : query_nodes) {
+    if (q == kb::kInvalidArticle || q >= kb.NumArticles()) continue;
+    if (config.use_triangular) {
+      for (const expansion::TriangularMatch& m : finder.FindTriangular(q)) {
+        if (query_set.contains(m.expansion_node)) continue;
+        expansion::ExpansionNode& node = by_article[m.expansion_node];
+        node.article = m.expansion_node;
+        node.motif_count++;
+        node.triangular_count++;
+        categories.insert(m.shared_category);
+        graph.total_motifs++;
+      }
+    }
+    if (config.use_square) {
+      for (const expansion::SquareMatch& m : finder.FindSquare(q)) {
+        if (query_set.contains(m.expansion_node)) continue;
+        expansion::ExpansionNode& node = by_article[m.expansion_node];
+        node.article = m.expansion_node;
+        node.motif_count++;
+        node.square_count++;
+        categories.insert(m.query_category);
+        categories.insert(m.expansion_category);
+        graph.total_motifs++;
+      }
+    }
+  }
+  for (const auto& [article, node] : by_article) {
+    graph.expansion_nodes.push_back(node);
+  }
+  std::sort(graph.expansion_nodes.begin(), graph.expansion_nodes.end(),
+            [](const expansion::ExpansionNode& a,
+               const expansion::ExpansionNode& b) {
+              if (a.motif_count != b.motif_count) {
+                return a.motif_count > b.motif_count;
+              }
+              return a.article < b.article;
+            });
+  graph.category_nodes.assign(categories.begin(), categories.end());
+  return graph;
+}
+
+// Compares every field; names the first difference.
+::testing::AssertionResult SameGraph(const expansion::QueryGraph& actual,
+                                     const expansion::QueryGraph& expected) {
+  if (actual.query_nodes != expected.query_nodes) {
+    return ::testing::AssertionFailure() << "query_nodes differ";
+  }
+  if (actual.total_motifs != expected.total_motifs) {
+    return ::testing::AssertionFailure()
+           << "total_motifs " << actual.total_motifs << " vs "
+           << expected.total_motifs;
+  }
+  if (actual.expansion_nodes.size() != expected.expansion_nodes.size()) {
+    return ::testing::AssertionFailure()
+           << actual.expansion_nodes.size() << " expansion nodes vs "
+           << expected.expansion_nodes.size();
+  }
+  for (size_t i = 0; i < actual.expansion_nodes.size(); ++i) {
+    const expansion::ExpansionNode& x = actual.expansion_nodes[i];
+    const expansion::ExpansionNode& y = expected.expansion_nodes[i];
+    if (x.article != y.article || x.motif_count != y.motif_count ||
+        x.triangular_count != y.triangular_count ||
+        x.square_count != y.square_count) {
+      return ::testing::AssertionFailure()
+             << "expansion node " << i << ": article " << x.article << " ("
+             << x.triangular_count << "T+" << x.square_count << "S="
+             << x.motif_count << ") vs article " << y.article << " ("
+             << y.triangular_count << "T+" << y.square_count
+             << "S=" << y.motif_count << ")";
+    }
+  }
+  if (actual.category_nodes != expected.category_nodes) {
+    return ::testing::AssertionFailure()
+           << actual.category_nodes.size() << " category nodes vs "
+           << expected.category_nodes.size();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::string NodesToString(std::span<const kb::ArticleId> nodes) {
+  std::string out = "{";
+  for (kb::ArticleId a : nodes) {
+    out += (out.size() > 1 ? "," : "") + std::to_string(a);
+  }
+  return out + "}";
+}
+
+const expansion::MotifConfig kAllMotifConfigs[] = {
+    expansion::MotifConfig::Triangular(), expansion::MotifConfig::Square(),
+    expansion::MotifConfig::Both()};
+
+// A generated world's KB with hub links layered over it, as the dense
+// benchmark KB has: each article gains `hub_links` reciprocal links to
+// Zipf-drawn articles, and a hub joins the linking article's categories
+// with probability 0.8. Then `categoryless` articles without categories
+// are added, each reciprocally linked to a few others.
+kb::KnowledgeBase HubKb(const synth::WorldOptions& options, size_t hub_links,
+                        size_t categoryless, uint64_t seed) {
+  synth::World world = synth::World::Generate(options);
+  const kb::KnowledgeBase& src = world.kb;
+  kb::KbBuilder builder;
+  for (kb::ArticleId a = 0; a < src.NumArticles(); ++a) {
+    builder.AddArticle(src.ArticleTitle(a));
+  }
+  for (kb::CategoryId c = 0; c < src.NumCategories(); ++c) {
+    builder.AddCategory(src.CategoryTitle(c));
+  }
+  for (kb::CategoryId c = 0; c < src.NumCategories(); ++c) {
+    for (kb::CategoryId p : src.ParentCategories(c)) {
+      builder.AddCategoryLink(c, p);
+    }
+  }
+  for (kb::ArticleId a = 0; a < src.NumArticles(); ++a) {
+    for (kb::CategoryId c : src.CategoriesOf(a)) builder.AddMembership(a, c);
+    for (kb::ArticleId t : src.OutLinks(a)) builder.AddArticleLink(a, t);
+  }
+  Rng rng(seed);
+  const size_t n = src.NumArticles();
+  ZipfSampler zipf(n, 1.0);
+  for (kb::ArticleId a = 0; a < n; ++a) {
+    for (size_t j = 0; j < hub_links; ++j) {
+      auto hub = static_cast<kb::ArticleId>(zipf.Sample(rng));
+      if (hub == a) continue;
+      builder.AddReciprocalLink(a, hub);
+      if (rng.NextBool(0.8)) {
+        for (kb::CategoryId c : src.CategoriesOf(a)) {
+          builder.AddMembership(hub, c);
+        }
+      }
+    }
+  }
+  for (size_t i = 0; i < categoryless; ++i) {
+    kb::ArticleId bare = builder.AddArticle("Bare " + std::to_string(i));
+    for (int j = 0; j < 4; ++j) {
+      builder.AddReciprocalLink(
+          bare, static_cast<kb::ArticleId>(zipf.Sample(rng)));
+    }
+  }
+  return std::move(builder).Build();
+}
+
+synth::WorldOptions DenseWorldOptions() {
+  synth::WorldOptions options = synth::TinyWorldOptions();
+  options.strong_partners = 8;
+  options.square_partners = 16;
+  options.p_spurious_twin = 1.0;
+  return options;
+}
+
+// Node sets covering the kernel's edge cases: every article alone, then
+// random sets mixing duplicates, kInvalidArticle, out-of-range ids, query
+// nodes that are each other's reciprocal neighbours, and category-less
+// nodes.
+std::vector<std::vector<kb::ArticleId>> OracleNodeSets(
+    const kb::KnowledgeBase& kb, uint64_t seed, size_t random_sets) {
+  const auto n = static_cast<kb::ArticleId>(kb.NumArticles());
+  std::vector<kb::ArticleId> bare;
+  for (kb::ArticleId a = 0; a < n; ++a) {
+    if (kb.CategoriesOf(a).empty()) bare.push_back(a);
+  }
+  std::vector<std::vector<kb::ArticleId>> sets;
+  for (kb::ArticleId a = 0; a < n; ++a) sets.push_back({a});
+  sets.push_back({});
+  sets.push_back({kb::kInvalidArticle});
+  sets.push_back({n, n + 5, kb::kInvalidArticle - 1});
+
+  Rng rng(seed);
+  for (size_t i = 0; i < random_sets; ++i) {
+    std::vector<kb::ArticleId> nodes;
+    const size_t size = 1 + rng.NextBounded(5);
+    for (size_t j = 0; j < size; ++j) {
+      nodes.push_back(static_cast<kb::ArticleId>(rng.NextBounded(n)));
+    }
+    const kb::ArticleId q = nodes[0];
+    if (rng.NextBool(0.5) && !kb.ReciprocalLinks(q).empty()) {
+      auto mutual = kb.ReciprocalLinks(q);
+      nodes.push_back(mutual[rng.NextBounded(mutual.size())]);
+    }
+    if (rng.NextBool(0.3)) nodes.push_back(nodes[rng.NextBounded(size)]);
+    if (rng.NextBool(0.2)) nodes.push_back(kb::kInvalidArticle);
+    if (rng.NextBool(0.2)) {
+      nodes.push_back(n + static_cast<kb::ArticleId>(rng.NextBounded(3)));
+    }
+    if (!bare.empty() && rng.NextBool(0.3)) {
+      nodes.push_back(bare[rng.NextBounded(bare.size())]);
+    }
+    rng.Shuffle(nodes);
+    sets.push_back(std::move(nodes));
+  }
+  return sets;
+}
+
+class MotifKernelOracle : public ::testing::TestWithParam<bool> {
+ protected:
+  // false: TinyWorldOptions() as generated; true: the dense world with hub
+  // links and category-less articles.
+  static kb::KnowledgeBase MakeKb(bool dense) {
+    if (!dense) return synth::World::Generate(synth::TinyWorldOptions()).kb;
+    return HubKb(DenseWorldOptions(), 6, 4, 1602);
+  }
+};
+
+TEST_P(MotifKernelOracle, EveryFieldMatchesTheListing) {
+  const kb::KnowledgeBase kb = MakeKb(GetParam());
+  expansion::MotifFinder finder(&kb);
+  size_t expanded = 0;
+  for (const auto& nodes : OracleNodeSets(kb, 16, 300)) {
+    for (const expansion::MotifConfig& config : kAllMotifConfigs) {
+      const expansion::QueryGraph expected =
+          ListingQueryGraph(finder, nodes, config);
+      ASSERT_TRUE(SameGraph(finder.BuildQueryGraph(nodes, config), expected))
+          << config.ToString() << " " << NodesToString(nodes);
+      expanded += expected.expansion_nodes.size();
+    }
+  }
+  EXPECT_GT(expanded, 1000u);
+}
+
+TEST_P(MotifKernelOracle, PermutingNodesChangesOnlyQueryNodes) {
+  // The graph cache keys a node set independently of its order, so the
+  // graph must not depend on that order either.
+  const kb::KnowledgeBase kb = MakeKb(GetParam());
+  expansion::MotifFinder finder(&kb);
+  Rng rng(7217);
+  auto sets = OracleNodeSets(kb, 17, 200);
+  for (auto& nodes : sets) {
+    if (nodes.size() < 2) continue;
+    const expansion::QueryGraph before =
+        finder.BuildQueryGraph(nodes, expansion::MotifConfig::Both());
+    rng.Shuffle(nodes);
+    expansion::QueryGraph after =
+        finder.BuildQueryGraph(nodes, expansion::MotifConfig::Both());
+    EXPECT_EQ(after.query_nodes, nodes);
+    after.query_nodes = before.query_nodes;
+    ASSERT_TRUE(SameGraph(after, before)) << NodesToString(nodes);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Worlds, MotifKernelOracle, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Dense" : "Tiny";
+                         });
+
+TEST(MotifKernelStateTest, OneThreadAlternatingKbsMatchesOracle) {
+  // The counters outlive a KB on their thread, as they do across a hot
+  // swap: a small KB after a large one meets stale stamps and arrays sized
+  // for the large one, a large one after a small one grows them. A fresh
+  // thread starts with empty counters.
+  const kb::KnowledgeBase small_kb =
+      synth::World::Generate(synth::TinyWorldOptions()).kb;
+  synth::WorldOptions large_options = DenseWorldOptions();
+  large_options.seed = 11;
+  large_options.num_topics = 8;
+  large_options.clusters_per_topic = 6;
+  const kb::KnowledgeBase large_kb = HubKb(large_options, 6, 4, 1505);
+  ASSERT_GT(large_kb.NumArticles(), small_kb.NumArticles());
+  ASSERT_GT(large_kb.NumCategories(), small_kb.NumCategories());
+
+  size_t graphs = 0;
+  std::thread worker([&] {
+    for (int round = 0; round < 3; ++round) {
+      for (const kb::KnowledgeBase* kb : {&small_kb, &large_kb}) {
+        expansion::MotifFinder finder(kb);
+        for (const auto& nodes : OracleNodeSets(*kb, 30 + round, 60)) {
+          const expansion::MotifConfig& config = kAllMotifConfigs[graphs % 3];
+          ASSERT_TRUE(SameGraph(finder.BuildQueryGraph(nodes, config),
+                                ListingQueryGraph(finder, nodes, config)))
+              << "round " << round << " " << NodesToString(nodes);
+          ++graphs;
+        }
+      }
+    }
+  });
+  worker.join();
+  EXPECT_GT(graphs, 3000u);
+}
+
+TEST(MotifKernelStateTest, EpochWrapResetsStamps) {
+  // Stamps are 32-bit. A graph over {x} at the lowest epochs leaves x
+  // stamped as a query node and its categories as the query node's. Then
+  // the epoch is moved to the top of the range: a graph over no valid node
+  // takes the wrap, and graphs over y, one of x's reciprocal neighbours,
+  // follow at the same low epochs the graph over {x} used. Any stamp the
+  // reset missed reads as current: x would be skipped as a query node and
+  // its categories counted as y's.
+  const kb::KnowledgeBase kb = HubKb(DenseWorldOptions(), 6, 4, 1602);
+  expansion::MotifFinder finder(&kb);
+  const expansion::MotifConfig both = expansion::MotifConfig::Both();
+  std::vector<kb::ArticleId> x, y;
+  for (kb::ArticleId a = 0; a < kb.NumArticles() && x.empty(); ++a) {
+    const std::vector<kb::ArticleId> nodes = {a};
+    const expansion::QueryGraph graph = ListingQueryGraph(finder, nodes, both);
+    if (!graph.HasExpansion()) continue;
+    y = nodes;
+    x = {graph.expansion_nodes[0].article};
+  }
+  ASSERT_FALSE(x.empty());
+  const auto sets = OracleNodeSets(kb, 18, 40);
+
+  std::thread worker([&] {
+    expansion::SetMotifEpochForTest(0);
+    (void)finder.BuildQueryGraph(x, both);
+    expansion::SetMotifEpochForTest(UINT32_MAX);
+    const std::vector<kb::ArticleId> none = {kb::kInvalidArticle};
+    EXPECT_FALSE(finder.BuildQueryGraph(none, both).HasExpansion());
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(SameGraph(finder.BuildQueryGraph(y, both),
+                            ListingQueryGraph(finder, y, both)))
+          << "graph " << i << " over " << NodesToString(y);
+    }
+    // A longer run over the top of the range, varied node sets.
+    expansion::SetMotifEpochForTest(UINT32_MAX - 12);
+    for (const auto& nodes : sets) {
+      ASSERT_TRUE(SameGraph(finder.BuildQueryGraph(nodes, both),
+                            ListingQueryGraph(finder, nodes, both)))
+          << NodesToString(nodes);
+    }
+  });
+  worker.join();
 }
 
 // ---- analysis: cycle enumeration vs brute force -----------------------------------

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -7,6 +8,27 @@
 #include "sqe/motif_finder.h"
 #include "sqe/query_builder.h"
 #include "sqe/sqe_engine.h"
+
+namespace sqe::kb {
+// Reaches the category CSRs, to build what KbBuilder never does but a
+// snapshot that passes Validate() may hold: a category that is its own
+// parent.
+struct KnowledgeBaseTestPeer {
+  static void AddSelfLoop(KnowledgeBase& kb, CategoryId c) {
+    Insert(kb.cat_parent_offsets_.vec(), kb.cat_parent_targets_.vec(), c);
+    Insert(kb.cat_child_offsets_.vec(), kb.cat_child_targets_.vec(), c);
+  }
+
+ private:
+  static void Insert(std::vector<uint64_t>& offsets,
+                     std::vector<CategoryId>& targets, CategoryId c) {
+    auto begin = targets.begin() + static_cast<ptrdiff_t>(offsets[c]);
+    auto end = targets.begin() + static_cast<ptrdiff_t>(offsets[c + 1]);
+    targets.insert(std::lower_bound(begin, end, c), c);
+    for (size_t i = c + 1; i < offsets.size(); ++i) ++offsets[i];
+  }
+};
+}  // namespace sqe::kb
 
 namespace sqe::expansion {
 namespace {
@@ -152,6 +174,86 @@ TEST(MotifFinderTest, InvalidQueryNodesIgnored) {
   std::vector<kb::ArticleId> nodes = {kb::kInvalidArticle};
   QueryGraph graph = finder.BuildQueryGraph(nodes, MotifConfig::Both());
   EXPECT_TRUE(graph.expansion_nodes.empty());
+}
+
+// Two categories that are each other's parent: C1 -> C2 and C2 -> C1.
+//
+//   q = "Query"   categories {C1}
+//   t = "Twin"    categories {C1, C2}, reciprocal with q -> 1 T + 1 S
+//   s = "Square"  categories {C2},     reciprocal with q -> 1 S
+//
+// The pair (C1, C2) is related in both directions but closes one square:
+// a kernel that counted parent hits and child hits separately would see
+// two.
+struct MutualParentFixture {
+  kb::KnowledgeBase kb;
+  kb::ArticleId q, t, s;
+  kb::CategoryId c1, c2;
+
+  MutualParentFixture() {
+    kb::KbBuilder builder;
+    q = builder.AddArticle("Query");
+    t = builder.AddArticle("Twin");
+    s = builder.AddArticle("Square");
+    c1 = builder.AddCategory("Category:C1");
+    c2 = builder.AddCategory("Category:C2");
+    builder.AddMembership(q, c1);
+    builder.AddMembership(t, c1);
+    builder.AddMembership(t, c2);
+    builder.AddMembership(s, c2);
+    builder.AddReciprocalLink(q, t);
+    builder.AddReciprocalLink(q, s);
+    builder.AddCategoryLink(c1, c2);
+    builder.AddCategoryLink(c2, c1);
+    kb = std::move(builder).Build();
+  }
+};
+
+TEST(MotifFinderTest, MutualParentsCloseOneSquare) {
+  MutualParentFixture f;
+  ASSERT_TRUE(f.kb.HasCategoryLink(f.c1, f.c2));
+  ASSERT_TRUE(f.kb.HasCategoryLink(f.c2, f.c1));
+  MotifFinder finder(&f.kb);
+  EXPECT_EQ(finder.FindSquare(f.q).size(), 2u);  // (q,t,C1,C2), (q,s,C1,C2)
+
+  std::vector<kb::ArticleId> nodes = {f.q};
+  QueryGraph graph = finder.BuildQueryGraph(nodes, MotifConfig::Both());
+  ASSERT_EQ(graph.expansion_nodes.size(), 2u);
+  EXPECT_EQ(graph.expansion_nodes[0].article, f.t);
+  EXPECT_EQ(graph.expansion_nodes[0].triangular_count, 1u);
+  EXPECT_EQ(graph.expansion_nodes[0].square_count, 1u);
+  EXPECT_EQ(graph.expansion_nodes[0].motif_count, 2u);
+  EXPECT_EQ(graph.expansion_nodes[1].article, f.s);
+  EXPECT_EQ(graph.expansion_nodes[1].square_count, 1u);
+  EXPECT_EQ(graph.expansion_nodes[1].motif_count, 1u);
+  EXPECT_EQ(graph.total_motifs, 3u);
+  EXPECT_EQ(graph.category_nodes, (std::vector<kb::CategoryId>{f.c1, f.c2}));
+
+  QueryGraph squares = finder.BuildQueryGraph(nodes, MotifConfig::Square());
+  EXPECT_EQ(squares.total_motifs, 2u);
+
+  // From C2's side the pair is still one square: (s,q,C2,C1).
+  std::vector<kb::ArticleId> from_s = {f.s};
+  QueryGraph reverse = finder.BuildQueryGraph(from_s, MotifConfig::Square());
+  EXPECT_EQ(finder.FindSquare(f.s).size(), 1u);
+  EXPECT_EQ(reverse.total_motifs, 1u);
+}
+
+TEST(MotifFinderTest, SelfParentCategoryClosesNoSquareWithItself) {
+  // A square needs two distinct categories, so C1 -> C1 adds nothing.
+  MotifKbFixture f;
+  kb::KnowledgeBaseTestPeer::AddSelfLoop(f.kb, f.c1);
+  ASSERT_TRUE(f.kb.Validate().ok());
+  ASSERT_TRUE(f.kb.HasCategoryLink(f.c1, f.c1));
+  MotifFinder finder(&f.kb);
+  EXPECT_EQ(finder.FindSquare(f.q).size(), 2u);
+
+  std::vector<kb::ArticleId> nodes = {f.q};
+  QueryGraph graph = finder.BuildQueryGraph(nodes, MotifConfig::Square());
+  EXPECT_EQ(graph.total_motifs, 2u);
+  ASSERT_EQ(graph.expansion_nodes.size(), 2u);
+  EXPECT_EQ(graph.expansion_nodes[0].square_count, 1u);
+  EXPECT_EQ(graph.expansion_nodes[1].square_count, 1u);
 }
 
 TEST(MotifConfigTest, Names) {

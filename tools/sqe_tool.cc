@@ -86,6 +86,7 @@
 #include "common/timer.h"
 #include "index/postings_codec.h"
 #include "index/sharded_index.h"
+#include "io/coding.h"
 #include "io/file.h"
 #include "io/snapshot_format.h"
 #include "kb/dump_loader.h"
@@ -108,12 +109,18 @@ int Fail(const Status& status) {
   return 2;
 }
 
-// Loads a KB from either format: snapshots begin with the binary magic, so
-// try the snapshot reader first and fall back to dump-lite text.
+// Loads a KB from either format, dispatching on the snapshot magic the file
+// begins with. A damaged snapshot so reports its own load error, such as a
+// block CRC mismatch, and is never re-read as dump-lite text.
 Result<kb::KnowledgeBase> LoadAny(const std::string& path) {
-  auto snapshot = kb::KnowledgeBase::FromSnapshotFile(path);
-  if (snapshot.ok()) return snapshot;
-  return kb::LoadDumpFromFile(path);
+  auto contents = io::ReadFileToString(path);
+  if (!contents.ok()) return contents.status();
+  std::string_view head = contents.value();
+  uint32_t magic = 0;
+  if (io::GetFixed32(&head, &magic) && magic == io::kKbSnapshotMagic) {
+    return kb::KnowledgeBase::FromSnapshotString(std::move(contents).value());
+  }
+  return kb::LoadDumpFromString(contents.value());
 }
 
 int GenDump(const std::string& out_path) {
